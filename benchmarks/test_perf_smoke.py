@@ -304,3 +304,41 @@ def test_obs_disabled_simulation_within_budget():
         f"the {limit:.3f}s envelope — the obs disabled path is supposed "
         f"to cost <{OBS_DISABLED_MAX_OVERHEAD:.0%}; is something doing "
         "work without checking the session slot?")
+
+
+#: Bound on whole-function ``predecessor_map`` + ``reverse_postorder``
+#: computations for one ``uu x8`` compile of XSBench ``xs_lookup:0``.
+#: Unmerge keeps its CFG bookkeeping incremental and passes share the
+#: per-function analysis cache, so the count is ~150 (most of it is
+#: predication recomputing predecessors after each if-conversion); the
+#: per-duplication recomputation it replaced made ~1,000.  Counts, not
+#: seconds, so the gate repeats exactly on any host.
+UU_X8_CFG_ANALYSIS_BOUND = 250
+
+
+def test_uu_compile_cfg_analysis_count_bounded(monkeypatch):
+    import sys
+
+    from repro.analysis import cfg_utils
+    from repro.transforms.pipeline import compile_module
+
+    calls = {"n": 0}
+    for original in (cfg_utils.predecessor_map, cfg_utils.reverse_postorder):
+        def counted(func, _original=original):
+            calls["n"] += 1
+            return _original(func)
+
+        # Replace the function in every module that binds it.
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro"):
+                for name, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, name, counted)
+
+    module = benchmark_by_name("XSBench").build_module()
+    calls["n"] = 0
+    compile_module(module, "uu", loop_id="xs_lookup:0", factor=8)
+    assert 0 < calls["n"] <= UU_X8_CFG_ANALYSIS_BOUND, (
+        f"{calls['n']} predecessor_map/reverse_postorder computations "
+        f"compiling XSBench uu x8 (bound {UU_X8_CFG_ANALYSIS_BOUND}) — "
+        "is a pass recomputing CFG analyses per edit again?")

@@ -23,6 +23,7 @@ from ..ir.function import Function
 from ..ir.instructions import (CallInst, CondBranchInst, Instruction,
                                LoadInst, PhiInst)
 from ..ir.values import Argument, Value
+from . import manager
 from .loops import Loop
 
 #: Intrinsics whose result differs between lanes of a warp.
@@ -59,15 +60,13 @@ class DivergenceInfo:
         return result
 
     def _run(self) -> None:
-        from .dominators import DominatorTree
-
         # Seed: divergent intrinsics and explicitly divergent arguments
         # (kernel arguments derived from the global thread id, as in the
         # paper's `complex` where `n = threadIdx.x + blockIdx.x * blockDim.x`).
         for arg in self.function.args:
             if arg.name in self.divergent_args:
                 self._divergent.add(id(arg))
-        self._domtree = DominatorTree.compute(self.function)
+        self._domtree = manager.domtree(self.function)
         changed = True
         while changed:
             changed = False

@@ -13,7 +13,7 @@ from typing import Dict, Iterable, List, Optional, Set
 
 from ..ir.block import BasicBlock
 from ..ir.function import Function
-from .cfg_utils import predecessor_map, reverse_postorder
+from . import manager
 
 
 class DominatorTree:
@@ -34,8 +34,8 @@ class DominatorTree:
     # -- construction -----------------------------------------------------
     @classmethod
     def compute(cls, func: Function) -> "DominatorTree":
-        rpo = reverse_postorder(func)
-        preds = predecessor_map(func)
+        rpo = manager.rpo(func)
+        preds = manager.preds(func)
         return cls._run(rpo, lambda b: preds[b], rpo[0])
 
     @classmethod
@@ -119,10 +119,9 @@ class DominatorTree:
     def dominance_frontier(self) -> Dict[int, Set[BasicBlock]]:
         """Dominance frontiers (Cooper et al. §4), keyed by block id."""
         frontier: Dict[int, Set[BasicBlock]] = {id(b): set() for b in self._blocks}
-        preds = None
         func = self._blocks[0].parent
         assert func is not None
-        preds = predecessor_map(func)
+        preds = manager.preds(func)
         for block in self._blocks:
             block_preds = [p for p in preds[block] if self.is_reachable(p)]
             if len(block_preds) < 2:

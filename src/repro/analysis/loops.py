@@ -14,8 +14,7 @@ from typing import Dict, List, Optional, Set
 from ..ir.block import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import BranchInst
-from .cfg_utils import predecessor_map, reverse_postorder
-from .dominators import DominatorTree
+from . import manager
 
 
 class Loop:
@@ -174,9 +173,9 @@ class LoopInfo:
     # -- construction -----------------------------------------------------------
     def _analyze(self) -> None:
         func = self.function
-        domtree = DominatorTree.compute(func)
-        preds = predecessor_map(func)
-        rpo = reverse_postorder(func)
+        domtree = manager.domtree(func)
+        preds = manager.preds(func)
+        rpo = manager.rpo(func)
         rpo_index = {id(b): i for i, b in enumerate(rpo)}
 
         # Collect back edges grouped by header, in deterministic RPO order.

@@ -2,8 +2,10 @@
 
 A block owns an ordered list of instructions ending in exactly one
 terminator (enforced by the verifier, tolerated transiently during
-construction).  Predecessors are derived from terminator successor edges on
-demand; functions cache nothing so transforms never work with stale CFGs.
+construction).  Predecessors are derived from terminator successor edges;
+the parent function caches the derived map until the next CFG edit.  Every
+mutator here that changes which instruction ends the block (and so the
+block's successors) bumps the function's CFG epoch.
 """
 
 from __future__ import annotations
@@ -45,13 +47,9 @@ class BasicBlock(Value):
         """Blocks that can branch here (in deterministic function order)."""
         if self.parent is None:
             return []
-        preds = []
-        for block in self.parent.blocks:
-            for succ in block.successors():
-                if succ is self:
-                    preds.append(block)
-                    break
-        return preds
+        from ..analysis.manager import preds
+
+        return list(preds(self.parent).get(self, ()))
 
     def phis(self) -> List[PhiInst]:
         result = []
@@ -77,15 +75,21 @@ class BasicBlock(Value):
     def append(self, inst: Instruction) -> Instruction:
         if inst.parent is not None:
             raise ValueError(f"{inst!r} already belongs to a block")
+        old_term = self.terminator
         self.instructions.append(inst)
         inst.parent = self
+        if self.parent is not None and self.terminator is not old_term:
+            self.parent.invalidate_cfg()
         return inst
 
     def insert(self, index: int, inst: Instruction) -> Instruction:
         if inst.parent is not None:
             raise ValueError(f"{inst!r} already belongs to a block")
+        old_term = self.terminator
         self.instructions.insert(index, inst)
         inst.parent = self
+        if self.parent is not None and self.terminator is not old_term:
+            self.parent.invalidate_cfg()
         return inst
 
     def insert_before_terminator(self, inst: Instruction) -> Instruction:
@@ -95,10 +99,14 @@ class BasicBlock(Value):
         return self.insert(index, inst)
 
     def remove_instruction(self, inst: Instruction) -> None:
+        old_term = self.terminator
         for i, existing in enumerate(self.instructions):
             if existing is inst:
                 del self.instructions[i]
                 inst.parent = None
+                if self.parent is not None and \
+                        self.terminator is not old_term:
+                    self.parent.invalidate_cfg()
                 return
         raise ValueError(f"{inst!r} not in block {self.name}")
 

@@ -11,17 +11,29 @@ import struct
 from typing import Dict, Tuple, Union
 
 from .types import F32, F64, I1, FloatType, IntType, Type
-from .values import Value
+from .values import Use, Value
 
 
 class Constant(Value):
-    """Base class for constants."""
+    """Base class for constants.
+
+    Interned constants live for the whole process and are shared by every
+    module, so they record no uses: a use list would keep dead modules
+    reachable and make each removal a scan over process-wide uses.  Their
+    ``uses`` stays empty; passes act on the use lists of instructions.
+    """
 
     __slots__ = ()
 
     @property
     def is_constant(self) -> bool:
         return True
+
+    def add_use(self, use: Use) -> None:
+        pass
+
+    def remove_use(self, use: Use) -> None:
+        pass
 
 
 class ConstantInt(Constant):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .block import BasicBlock
 from .instructions import Instruction
@@ -16,10 +16,17 @@ class Function(Value):
 
     Block order is significant only in that ``blocks[0]`` is the entry block;
     the printer and deterministic iteration rely on the stored order.
+
+    ``cfg_epoch`` counts CFG edits.  The IR primitives that change an edge or
+    the block list (terminator successor rewrites, appending or erasing a
+    terminator, :meth:`add_block`, :meth:`adopt_block`, :meth:`remove_block`)
+    call :meth:`invalidate_cfg`; :meth:`cached_analysis` keeps CFG analyses
+    (see :mod:`repro.analysis.manager`) only while the epoch they were
+    computed at is current.
     """
 
     __slots__ = ("blocks", "args", "ftype", "parent", "_name_counts",
-                 "attributes")
+                 "attributes", "cfg_epoch", "_analyses", "_analyses_epoch")
 
     def __init__(self, name: str, ftype: FunctionType,
                  arg_names: Optional[Sequence[str]] = None) -> None:
@@ -38,6 +45,29 @@ class Function(Value):
             arg.parent = self
             self.args.append(arg)
         self._name_counts: Dict[str, int] = {}
+        self.cfg_epoch = 0
+        self._analyses: Dict[str, object] = {}
+        self._analyses_epoch = 0
+
+    # -- CFG analysis cache -------------------------------------------------
+    def invalidate_cfg(self) -> None:
+        """Record a CFG edit: every cached analysis is now stale."""
+        self.cfg_epoch += 1
+
+    def cached_analysis(self, key: str,
+                        compute: Callable[["Function"], object]) -> object:
+        """``compute(self)``, reused until the next CFG edit.
+
+        ``compute`` must not edit the CFG.  The cached object is shared by
+        every caller: treat it as read-only.
+        """
+        if self._analyses_epoch != self.cfg_epoch:
+            self._analyses = {}
+            self._analyses_epoch = self.cfg_epoch
+        value = self._analyses.get(key)
+        if value is None:
+            value = self._analyses[key] = compute(self)
+        return value
 
     # -- blocks -----------------------------------------------------------
     @property
@@ -54,6 +84,7 @@ class Function(Value):
         else:
             index = self._block_index(after)
             self.blocks.insert(index + 1, block)
+        self.invalidate_cfg()
         return block
 
     def adopt_block(self, block: BasicBlock,
@@ -66,18 +97,22 @@ class Function(Value):
         else:
             index = self._block_index(after)
             self.blocks.insert(index + 1, block)
+        self.invalidate_cfg()
         return block
 
     def remove_block(self, block: BasicBlock) -> None:
         index = self._block_index(block)
         del self.blocks[index]
         block.parent = None
+        self.invalidate_cfg()
 
     def _block_index(self, block: BasicBlock) -> int:
-        for i, existing in enumerate(self.blocks):
-            if existing is block:
-                return i
-        raise ValueError(f"block {block.name} not in function {self.name}")
+        # Blocks compare by identity, so list.index finds this very block.
+        try:
+            return self.blocks.index(block)
+        except ValueError:
+            raise ValueError(
+                f"block {block.name} not in function {self.name}") from None
 
     # -- names -----------------------------------------------------------
     def unique_name(self, base: str) -> str:

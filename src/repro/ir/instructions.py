@@ -267,6 +267,12 @@ class TerminatorInst(Instruction):
     def replace_successor(self, old: "BasicBlock", new: "BasicBlock") -> None:
         raise ValueError(f"{self!r} has no successors")
 
+    def _edges_changed(self) -> None:
+        """Bump the enclosing function's CFG epoch after a successor edit."""
+        block = self.parent
+        if block is not None and block.parent is not None:
+            block.parent.invalidate_cfg()
+
 
 # ---------------------------------------------------------------------------
 # Concrete instructions
@@ -409,13 +415,16 @@ class PhiInst(Instruction):
         self.incoming_blocks.append(block)
 
     def incoming_for(self, block: "BasicBlock") -> Value:
-        for value, pred in zip(self.operands, self.incoming_blocks):
-            if pred is block:
-                return value
-        raise KeyError(f"phi has no incoming value for block {block.name}")
+        # Blocks compare by identity, so list.index finds the first entry
+        # for this very block.
+        try:
+            return self.operands[self.incoming_blocks.index(block)]
+        except ValueError:
+            raise KeyError(
+                f"phi has no incoming value for block {block.name}") from None
 
     def has_incoming_for(self, block: "BasicBlock") -> bool:
-        return any(pred is block for pred in self.incoming_blocks)
+        return block in self.incoming_blocks
 
     def set_incoming_block(self, index: int, block: "BasicBlock") -> None:
         self.incoming_blocks[index] = block
@@ -565,6 +574,7 @@ class BranchInst(TerminatorInst):
     def replace_successor(self, old: "BasicBlock", new: "BasicBlock") -> None:
         if self._target is old:
             self._target = new
+            self._edges_changed()
         else:
             raise ValueError(f"{old.name} is not a successor")
 
@@ -607,6 +617,7 @@ class CondBranchInst(TerminatorInst):
             replaced = True
         if not replaced:
             raise ValueError(f"{old.name} is not a successor")
+        self._edges_changed()
 
 
 class RetInst(TerminatorInst):

@@ -52,9 +52,11 @@ class Value:
 
     def remove_use(self, use: Use) -> None:
         # Identity removal: a user may hold the same value in several slots.
-        for i, u in enumerate(self.uses):
-            if u is use:
-                del self.uses[i]
+        # Scan from the end: the uses removed are mostly the newest ones.
+        uses = self.uses
+        for i in range(len(uses) - 1, -1, -1):
+            if uses[i] is use:
+                del uses[i]
                 return
         raise ValueError(f"use {use!r} not registered on {self!r}")
 

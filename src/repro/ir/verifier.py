@@ -18,7 +18,7 @@ Checks the structural invariants every pass must preserve:
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import TYPE_CHECKING, Dict, List, Set
 
 from .block import BasicBlock
 from .constants import Constant, ConstantInt
@@ -27,6 +27,9 @@ from .instructions import (BinaryInst, CondBranchInst, Instruction, PhiInst,
                            TerminatorInst)
 from .module import Module
 from .values import Argument, GlobalVariable, Value
+
+if TYPE_CHECKING:
+    from ..analysis.dominators import DominatorTree
 
 #: Opcodes whose constant right operand must stay below the operand width.
 _SHIFT_OPS = ("shl", "lshr", "ashr")
@@ -51,10 +54,14 @@ def verify_function(func: Function) -> None:
             _fail(func, f"block {block.name} has wrong parent")
         _verify_block_structure(func, block, block_set)
 
-    preds = _predecessor_map(func)
-    _verify_phis(func, preds)
+    # Local import: the analysis package depends on ir.  Both analyses come
+    # from the function's CFG cache, so verifying after a pass that left
+    # the CFG alone recomputes neither.
+    from ..analysis import manager
+
+    _verify_phis(func, manager.preds(func))
     _verify_def_use(func)
-    _verify_dominance(func, preds)
+    _verify_dominance(func, manager.domtree(func))
 
 
 def verify_module(module: Module) -> None:
@@ -101,19 +108,6 @@ def _verify_block_structure(func: Function, block: BasicBlock,
         _fail(func, f"condbr condition in {block.name} is not i1")
 
 
-def _predecessor_map(func: Function) -> Dict[BasicBlock, List[BasicBlock]]:
-    # Deduplicated per edge source: one phi incoming entry covers both edges
-    # of a conditional branch with identical targets.
-    preds: Dict[BasicBlock, List[BasicBlock]] = {b: [] for b in func.blocks}
-    for block in func.blocks:
-        seen: Set[int] = set()
-        for succ in block.successors():
-            if id(succ) not in seen:
-                seen.add(id(succ))
-                preds[succ].append(block)
-    return preds
-
-
 # ---------------------------------------------------------------------------
 # Phis
 # ---------------------------------------------------------------------------
@@ -140,13 +134,20 @@ def _verify_phis(func: Function,
 # ---------------------------------------------------------------------------
 
 def _verify_def_use(func: Function) -> None:
+    # Interned constants record no uses (see repro.ir.constants).
+    registered: Dict[int, Set[int]] = {}
     for block in func.blocks:
         for inst in block.instructions:
             for i, op in enumerate(inst.operands):
                 use = inst._operand_uses[i]
                 if use.user is not inst or use.index != i:
                     _fail(func, f"corrupt use record on {inst!r} slot {i}")
-                if not any(u is use for u in op.uses):
+                if isinstance(op, Constant):
+                    continue
+                use_ids = registered.get(id(op))
+                if use_ids is None:
+                    use_ids = registered[id(op)] = {id(u) for u in op.uses}
+                if id(use) not in use_ids:
                     _fail(func, f"operand {op!r} of {inst!r} lacks back-edge use")
 
 
@@ -154,12 +155,7 @@ def _verify_def_use(func: Function) -> None:
 # SSA dominance
 # ---------------------------------------------------------------------------
 
-def _verify_dominance(func: Function,
-                      preds: Dict[BasicBlock, List[BasicBlock]]) -> None:
-    # Local import: analysis package depends on ir, so import lazily here.
-    from ..analysis.dominators import DominatorTree
-
-    domtree = DominatorTree.compute(func)
+def _verify_dominance(func: Function, domtree: "DominatorTree") -> None:
     reachable = set(domtree.reachable_ids())
 
     positions: Dict[int, int] = {}

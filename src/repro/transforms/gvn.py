@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.dominators import DominatorTree
+from ..analysis import manager as analyses
 from ..ir.block import BasicBlock
 from ..ir.constants import (Constant, ConstantInt, FALSE, TRUE, bool_const)
 from ..ir.function import Function
@@ -91,15 +91,13 @@ class GlobalValueNumbering:
         self.branch_facts = branch_facts
 
     def run(self, func: Function) -> bool:
-        from ..analysis.cfg_utils import predecessor_map
-
-        domtree = DominatorTree.compute(func)
+        domtree = analyses.domtree(func)
         scopes = _Scopes()
         self._changed = False
         self._rewrites = 0     # Operand substitutions via facts/leaders.
         self._simplified = 0   # Instructions folded away locally.
         self._cse = 0          # Instructions replaced by a dominating leader.
-        pred_map = predecessor_map(func)
+        pred_map = analyses.preds(func)
 
         # Iterative dominator-tree DFS: (enter, block) / (exit, block).
         stack: List[Tuple[str, BasicBlock]] = [("enter", domtree.root)]

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.cost_model import loop_size
 from ..analysis.divergence import DivergenceInfo, loop_has_divergent_branch
+from ..analysis import manager as analyses
 from ..analysis.loops import Loop, LoopInfo
 from ..analysis.paths import count_paths, estimate_unmerged_size
 from ..ir.function import Function
@@ -127,7 +128,7 @@ class HeuristicUU:
         self.decisions: List[LoopDecision] = []
 
     def run(self, func: Function) -> bool:
-        loop_info = LoopInfo.compute(func)
+        loop_info = analyses.loop_info(func)
         decisions = select_loops(func, loop_info, self.params)
         self.decisions.extend(decisions)
         # Applying u&u to one loop relayouts the function, so re-find each
@@ -138,7 +139,7 @@ class HeuristicUU:
             if decision.factor is None:
                 continue
             header = header_by_id[decision.loop_id]
-            fresh_info = LoopInfo.compute(func)
+            fresh_info = analyses.loop_info(func)
             target = None
             for loop in fresh_info.loops:
                 if loop.header is header:

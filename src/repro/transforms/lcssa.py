@@ -24,13 +24,13 @@ def form_lcssa(func: Function, loop: Loop) -> bool:
     each out-of-loop use is dominated by a single exit block (always true
     for the single-exit loops our frontend produces); raises otherwise.
     """
-    from ..analysis.dominators import DominatorTree
+    from ..analysis import manager as analyses
 
     exit_blocks = loop.exit_blocks()
     if not exit_blocks:
         return False
     changed = False
-    domtree = DominatorTree.compute(func)
+    domtree = analyses.domtree(func)
     # All predecessors — an exit block may have out-of-loop predecessors
     # too (e.g. it is the header of a following loop); the LCSSA phi needs
     # one entry per predecessor.

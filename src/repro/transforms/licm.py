@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import List, Set
 
-from ..analysis.dominators import DominatorTree
-from ..analysis.loops import Loop, LoopInfo
+from ..analysis import manager as analyses
+from ..analysis.loops import Loop
 from ..ir.block import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import (CallInst, Instruction, LoadInst, PhiInst,
@@ -30,7 +30,7 @@ class LoopInvariantCodeMotion:
 
     def run(self, func: Function) -> bool:
         changed = False
-        loop_info = LoopInfo.compute(func)
+        loop_info = analyses.loop_info(func)
         for loop in loop_info.innermost_first():
             changed |= self._run_on_loop(func, loop)
         return changed
@@ -46,7 +46,7 @@ class LoopInvariantCodeMotion:
         has_calls = any(
             isinstance(inst, CallInst) and not inst.is_pure
             for block in loop.blocks for inst in block.instructions)
-        domtree = DominatorTree.compute(func)
+        domtree = analyses.domtree(func)
 
         loop_ids = {id(b) for b in loop.blocks}
         invariant: Set[int] = set()

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..analysis.cfg_utils import predecessor_map, reverse_postorder
+from ..analysis import manager as analyses
 from ..ir.block import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import (AllocaInst, CallInst, GEPInst, Instruction,
@@ -76,8 +76,8 @@ class LoadElimination:
     def run(self, func: Function) -> bool:
         restrict_args: Set[str] = set(func.attributes.get("restrict_args", ()))
         changed = False
-        preds = predecessor_map(func)
-        rpo = reverse_postorder(func)
+        preds = analyses.preds(func)
+        rpo = analyses.rpo(func)
         rpo_pos = {id(b): i for i, b in enumerate(rpo)}
         avail_out: Dict[int, Dict[int, Tuple[Value, Value]]] = {}
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..analysis.cfg_utils import predecessor_map
+from ..analysis import manager as analyses
 from ..ir.block import BasicBlock
 from ..ir.builder import IRBuilder
 from ..ir.function import Function
@@ -37,7 +37,7 @@ class Predication:
         progress = True
         while progress:
             progress = False
-            preds = predecessor_map(func)
+            preds = analyses.preds(func)
             for block in list(func.blocks):
                 term = block.terminator
                 if not isinstance(term, CondBranchInst):

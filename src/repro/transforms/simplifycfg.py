@@ -22,7 +22,7 @@ from ..ir.function import Function
 from ..ir.instructions import (BranchInst, CondBranchInst, Instruction,
                                PhiInst, TerminatorInst)
 from ..ir.values import Value
-from ..analysis.cfg_utils import predecessor_map, reachable_blocks
+from ..analysis import manager as analyses
 
 
 class SimplifyCFG:
@@ -78,7 +78,7 @@ class SimplifyCFG:
 
     # -- unreachable blocks ------------------------------------------------------
     def _remove_unreachable(self, func: Function) -> bool:
-        reachable = reachable_blocks(func)
+        reachable = {id(b) for b in analyses.rpo(func)}
         dead = [b for b in func.blocks if id(b) not in reachable]
         if not dead:
             return False
@@ -107,7 +107,7 @@ class SimplifyCFG:
     # -- merging straight-line chains ---------------------------------------------
     def _merge_into_predecessor(self, func: Function) -> bool:
         changed = False
-        preds = predecessor_map(func)
+        preds = analyses.preds(func)
         merged_away: set = set()
         merged_into: dict = {}
         for block in list(func.blocks):
@@ -147,7 +147,7 @@ class SimplifyCFG:
     # -- forwarding (empty) blocks -------------------------------------------------
     def _thread_forwarding_blocks(self, func: Function) -> bool:
         changed = False
-        preds = predecessor_map(func)
+        preds = analyses.preds(func)
         # Blocks whose predecessor set changed during this scan: defer them
         # to the next fixpoint round rather than acting on stale info.
         dirty: Set[int] = set()

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..analysis.cost_model import loop_size
-from ..analysis.loops import LoopInfo
+from ..analysis import manager as analyses
 from ..analysis.paths import count_paths
 from ..ir.function import Function
 from ..obs import session as obs
@@ -54,7 +54,7 @@ class TunedUU:
         self.decisions: List[LoopDecision] = []
 
     def run(self, func: Function) -> bool:
-        loop_info = LoopInfo.compute(func)
+        loop_info = analyses.loop_info(func)
         by_id = {loop.loop_id: loop for loop in loop_info.loops}
         prefix = f"{func.name}:"
         changed = False
@@ -75,7 +75,7 @@ class TunedUU:
             # Re-find the loop by header: earlier applications relayout.
             header = original.header
             target = None
-            for loop in LoopInfo.compute(func).loops:
+            for loop in analyses.loop_info(func).loops:
                 if loop.header is header:
                     target = loop
                     break

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..analysis.loops import Loop, LoopInfo
+from ..analysis import manager as analyses
+from ..analysis.loops import Loop
 from ..analysis.tripcount import constant_trip_count
 from ..ir.block import BasicBlock
 from ..ir.clone import clone_blocks, map_value
@@ -184,7 +185,7 @@ class BaselineUnroll:
             progress = False
             claimed = set(func.attributes.get("uu_claimed_loops", ()))
             pragmas = func.attributes.get("loop_pragmas", {})
-            loop_info = LoopInfo.compute(func)
+            loop_info = analyses.loop_info(func)
             for loop in loop_info.innermost_first():
                 if id(loop.header) in unrolled_headers:
                     continue
@@ -235,7 +236,7 @@ class UnrollPass:
         self.factor = factor
 
     def run(self, func: Function) -> bool:
-        loop_info = LoopInfo.compute(func)
+        loop_info = analyses.loop_info(func)
         loop = loop_info.by_id(self.loop_id)
         if loop is None or not can_unroll(loop):
             obs.remark("missed", self.name, func.name,

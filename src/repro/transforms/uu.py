@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import List, Optional, Set
 
 from ..analysis.convergence import loop_is_convergent
+from ..analysis import manager as analyses
 from ..analysis.loops import Loop, LoopInfo
 from ..ir.function import Function
 from ..obs import session as obs
@@ -41,7 +42,7 @@ class UnrollAndUnmerge:
         self.unroll_inner = unroll_inner
 
     def run(self, func: Function) -> bool:
-        loop_info = LoopInfo.compute(func)
+        loop_info = analyses.loop_info(func)
         loop = loop_info.by_id(self.loop_id)
         if loop is None:
             obs.remark("missed", self.name, func.name, "loop not found",
@@ -88,7 +89,7 @@ def apply_uu(func: Function, loop: Loop, factor: int,
                     continue
                 unroll_loop(func, inner, factor)
                 changed = True
-        loop_info = LoopInfo.compute(func)
+        loop_info = analyses.loop_info(func)
         loop = _loop_by_header(loop_info, header)
         if loop is None:
             return changed
@@ -100,7 +101,7 @@ def apply_uu(func: Function, loop: Loop, factor: int,
     # previously computed Loop objects, so each target is re-discovered.
     headers = [l.header for l in _nested_loops_innermost_first(func, header)]
     for target_header in headers:
-        loop_info = LoopInfo.compute(func)
+        loop_info = analyses.loop_info(func)
         target = _loop_by_header(loop_info, target_header)
         if target is None:
             continue
@@ -135,7 +136,7 @@ def _nested_loops_innermost_first(func: Function, header) -> List[Loop]:
 
     Recomputed from scratch because unrolling/unmerging clones inner loops.
     """
-    loop_info = LoopInfo.compute(func)
+    loop_info = analyses.loop_info(func)
     outer = _loop_by_header(loop_info, header)
     if outer is None:
         return []

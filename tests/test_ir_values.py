@@ -113,3 +113,35 @@ class TestGlobals:
         m.add_global("x", T.I64, 1)
         with pytest.raises(ValueError):
             m.add_global("x", T.I64, 1)
+
+
+class TestInternedConstantsRecordNoUses:
+    """Interned constants are shared process-wide: their use lists would
+    keep every module that ever used them alive."""
+
+    def test_constant_operands_leave_no_use(self):
+        m, f, block = make_func()
+        b = IRBuilder(block)
+        zero = ConstantInt(T.I64, 0)
+        x = b.add(f.args[0], zero, "x")
+        assert x.operands[1] is zero
+        assert zero.uses == [] and not zero.is_used
+        x.set_operand(1, ConstantInt(T.I64, 1))
+        x.set_operand(1, zero)
+        x.erase_from_parent()
+        assert zero.uses == []
+
+    def test_compiled_module_is_freed(self):
+        import gc
+        import weakref
+
+        from repro.bench import benchmark_by_name
+        from repro.transforms.pipeline import compile_module
+
+        module = benchmark_by_name("XSBench").build_module()
+        compile_module(module, "uu", loop_id="xs_lookup:0", factor=2)
+        ref = weakref.ref(module)
+        del module
+        gc.collect()
+        assert ref() is None
+        assert ConstantInt(T.I32, 0).uses == []

@@ -247,8 +247,8 @@ class TestAppliedFlag:
                 return real_compute(func)   # selection sees the real loop
             return SimpleNamespace(loops=[])  # re-find comes up empty
 
-        monkeypatch.setattr("repro.transforms.heuristic.LoopInfo",
-                            SimpleNamespace(compute=fake_compute))
+        monkeypatch.setattr("repro.transforms.heuristic.analyses",
+                            SimpleNamespace(loop_info=fake_compute))
         pass_ = HeuristicUU(HeuristicParams())
         assert pass_.run(f) is False        # nothing actually changed
         selected = [d for d in pass_.decisions if d.factor is not None]
